@@ -1,4 +1,7 @@
-"""Command-line interface: ``repro <experiment-id> [...]``.
+"""Command-line interface: ``repro <experiment-id> [...]`` and ``repro VERB``.
+
+Each verb has its own subparser and takes only the flags it reads;
+``repro VERB -h`` lists them.
 
 Examples::
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ExperimentContext
@@ -64,53 +67,496 @@ _TITLES = {
     "E20": "Extension (event-level simulation validation)",
 }
 
+#: Suites ExperimentContext can train a model on; the suite generators
+#: (catalog, quality, export) also cover CPU2000.
+_TRAINABLE = (ExperimentContext.CPU, ExperimentContext.OMP)
+_SUITES = (*_TRAINABLE, "cpu2000")
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Reproduce the tables and figures of 'Characterization of "
-            "SPEC CPU2006 and SPEC OMP2001' (ISPASS 2008)"
-        ),
-    )
-    parser.add_argument(
-        "experiments",
-        nargs="+",
-        help=(
-            "experiment ids (E1..E20), 'all', 'list', 'report', "
-            "'catalog <suite>', 'describe <benchmark>', 'rules <suite>', "
-            "'dot <suite>', 'export <suite> <path>', "
-            "'trace-summary <trace.jsonl>', 'publish <suite>', 'serve', "
-            "'status', 'monitor <model-suite> [<traffic-suite>]', "
-            "'pipeline run <train-suite> <traffic-suite>', 'promotions', "
-            "'rollback', 'registry gc', 'profile', "
-            "'profile-summary <prof.json>', 'perf record|log|check', "
-            "or 'loadbench'"
-        ),
-    )
-    parser.add_argument(
+
+class _Positive(argparse.Action):
+    """Store a flag's number, rejecting zero and negatives."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value <= 0:
+            parser.error(f"{option_string} must be positive, got {value:g}")
+        setattr(namespace, self.dest, value)
+
+
+def _add_suite(parser, dest: str, names: Tuple[str, ...], **kwargs) -> None:
+    """A suite-name positional: any case, one of ``names``."""
+
+    def suite(text: str) -> str:
+        if text.lower() not in names:
+            raise argparse.ArgumentTypeError(
+                f"unknown suite {text!r}; have {list(names)}"
+            )
+        return text.lower()
+
+    parser.add_argument(dest, type=suite, choices=names, **kwargs)
+
+
+def _build_parsers() -> Tuple[
+    argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]
+]:
+    """The experiment-id parser and each verb's own parser, by name."""
+
+    def parent() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
+
+    # Flags several verbs read, declared once.
+    scaled = parent()
+    scaled.add_argument(
         "--scale",
         type=float,
         default=1.0,
+        action=_Positive,
         help="scale factor on sample counts (default 1.0)",
     )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the master seed"
+    scaled.add_argument("--seed", type=int, help="override the master seed")
+    cached = parent()
+    cached.add_argument(
+        "--cache-dir", help="cache generated suite data in this directory"
     )
-    parser.add_argument(
+    profiled = parent()
+    profiled.add_argument(
+        "--profile",
+        metavar="PATH",
+        help=(
+            "write a CPU profile sampled at --profile-hz to PATH as JSON "
+            "(inspect with 'repro profile-summary PATH')"
+        ),
+    )
+    profiled.add_argument(
+        "--profile-hz",
+        type=int,
+        default=99,
+        metavar="HZ",
+        help="sampling rate (default 99)",
+    )
+    registry = parent()
+    registry.add_argument(
+        "--registry", required=True, metavar="DIR", help="model registry dir"
+    )
+    url = parent()
+    url.add_argument(
+        "--url",
+        default="http://127.0.0.1:8080",
+        help="base URL of a running server (default %(default)s)",
+    )
+    audit = parent()
+    audit.add_argument(
+        "--audit",
+        metavar="PATH",
+        help="append every drift evaluation to PATH as JSONL",
+    )
+    stream = parent()
+    stream.add_argument(
+        "--window",
+        type=int,
+        default=256,
+        metavar="N",
+        help="drift window size in records (default 256)",
+    )
+    stream.add_argument(
+        "--stream-batch",
+        type=int,
+        default=64,
+        action=_Positive,
+        metavar="N",
+        help="records per replayed traffic batch (default 64)",
+    )
+    ledger = parent()
+    ledger.add_argument(
+        "--ledger",
+        metavar="PATH",
+        help="ledger file (default benchmarks/LEDGER.jsonl)",
+    )
+
+    # The root only names the verbs: each verb parses its own words, so
+    # its usage line and its errors are its own.
+    root = argparse.ArgumentParser(add_help=False, usage=argparse.SUPPRESS)
+    verbs = root.add_subparsers(
+        prog="repro",
+        title="verbs",
+        description="'repro VERB -h' lists the flags of each",
+        metavar="VERB",
+    )
+
+    def verb(group, name, run, help, *parents, suites=()):
+        parser = group.add_parser(
+            name, help=help, description=help, parents=list(parents)
+        )
+        if suites:
+            _add_suite(parser, "suite", suites)
+        parser.set_defaults(run=run)
+        return parser
+
+    def nested(name, help):
+        return verbs.add_parser(name, help=help).add_subparsers(
+            dest="action", required=True
+        )
+
+    verb(
+        verbs, "catalog", _catalog, "a suite's benchmark table", suites=_SUITES
+    )
+    verb(
+        verbs,
+        "describe",
+        _describe,
+        "one benchmark: metadata, profile, equations, neighbors",
+        scaled,
+    ).add_argument("benchmark", help="a benchmark name, e.g. 429.mcf")
+    verb(
+        verbs,
+        "rules",
+        _rules,
+        "a suite's model tree as IF/THEN rules",
+        scaled,
+        suites=_TRAINABLE,
+    )
+    verb(
+        verbs,
+        "dot",
+        _dot,
+        "a suite's model tree as Graphviz dot",
+        scaled,
+        suites=_TRAINABLE,
+    )
+    verb(
+        verbs,
+        "quality",
+        _quality,
+        "PMU data quality of a suite's intervals",
+        scaled,
+        suites=_SUITES,
+    )
+    verb(
+        verbs,
+        "export",
+        _export,
+        "write a suite's intervals as CSV or WEKA ARFF",
+        scaled,
+        suites=_SUITES,
+    ).add_argument("path", help="*.arff for ARFF, else CSV")
+    verb(
+        verbs, "trace-summary", _trace_summary, "render an exported trace"
+    ).add_argument("trace", metavar="TRACE.jsonl")
+    verb(
+        verbs, "profile-summary", _profile_summary, "render a saved profile"
+    ).add_argument("profile", metavar="PROF.json")
+
+    verb(
+        verbs,
+        "publish",
+        _publish,
+        "train a suite's model and register it",
+        scaled,
+        cached,
+        registry,
+        suites=_TRAINABLE,
+    ).add_argument(
+        "--alias",
+        action="append",
+        metavar="NAME",
+        help="alias(es) to point at the model (default: latest)",
+    )
+    serve = verb(
+        verbs,
+        "serve",
+        _serve,
+        "serve registered models over HTTP",
+        registry,
+        profiled,
+        audit,
+    )
+    serve.add_argument("--host", default="127.0.0.1", help="bind address")
+    serve.add_argument(
+        "--port", type=int, default=8080, help="TCP port (0: ephemeral)"
+    )
+    serve.add_argument(
+        "--max-batch",
+        type=int,
+        default=256,
+        metavar="N",
+        help="max rows coalesced into one prediction batch",
+    )
+    serve.add_argument(
+        "--max-wait-ms",
+        type=float,
+        default=2.0,
+        metavar="MS",
+        help="max time the head request waits for a batch to fill",
+    )
+    serve.add_argument(
+        "--self-test",
+        action="store_true",
+        help=(
+            "boot on an ephemeral port, round-trip one predict request, "
+            "verify bit-identical results, exit (with --workers N, also "
+            "self-test through an N-replica cluster)"
+        ),
+    )
+    serve.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        action=_Positive,
+        metavar="N",
+        help=(
+            "fork N replica processes sharing the host:port; replica 0 "
+            "leads the pipeline (default 1 = single process)"
+        ),
+    )
+    serve.add_argument(
+        "--admin-port",
+        type=int,
+        metavar="N",
+        help="with --workers: serve cluster /metrics and /v1/status here",
+    )
+    serve.add_argument(
+        "--events",
+        metavar="PATH",
+        help="append per-request telemetry to PATH as rotating JSONL",
+    )
+    serve.add_argument(
+        "--no-monitor", action="store_true", help="no online drift monitor"
+    )
+    serve.add_argument(
+        "--shadow",
+        metavar="REF",
+        help="evaluate this challenger model on the champion's traffic",
+    )
+    serve.add_argument(
+        "--shadow-champion",
+        default="latest",
+        metavar="REF",
+        help="the champion the challenger shadows (default: latest)",
+    )
+    serve.add_argument(
+        "--pipeline",
+        action="store_true",
+        help="arm the retrain/shadow/promote loop on the drift monitor",
+    )
+    status = verb(
+        verbs, "status", _status, "a running server's /v1/status", url
+    )
+    status.add_argument(
+        "--watch", action="store_true", help="refresh the view until Ctrl-C"
+    )
+    status.add_argument(
+        "--interval",
+        type=float,
+        default=2.0,
+        action=_Positive,
+        metavar="S",
+        help="seconds between --watch refreshes (default 2)",
+    )
+    load = verb(
+        verbs, "loadbench", _loadbench, "drive load at a running server", url
+    )
+    load.add_argument(
+        "--mode",
+        choices=("closed", "open"),
+        default="closed",
+        help=(
+            "closed loop (K connections + think time, measures capacity) "
+            "or open loop (Poisson arrivals at --rate, measures latency "
+            "at an offered rate; default closed)"
+        ),
+    )
+    load.add_argument(
+        "--duration",
+        type=float,
+        default=10.0,
+        metavar="S",
+        help="seconds of load (default 10)",
+    )
+    load.add_argument(
+        "--connections",
+        type=int,
+        default=4,
+        metavar="K",
+        help="connections (closed) or sender pool size (open; default 4)",
+    )
+    load.add_argument(
+        "--rate",
+        type=float,
+        default=100.0,
+        metavar="R",
+        help="open loop: offered arrival rate in req/s (default 100)",
+    )
+    load.add_argument(
+        "--think-ms",
+        type=float,
+        default=0.0,
+        metavar="MS",
+        help="closed loop: think time between requests (default 0)",
+    )
+    load.add_argument(
+        "--batch-rows",
+        type=int,
+        default=64,
+        metavar="N",
+        help="rows per predict request (default 64)",
+    )
+    load.add_argument(
+        "--model", metavar="REF", help="model to request (default: latest)"
+    )
+    verb(
+        verbs,
+        "profile",
+        _profile_client,
+        "capture a live CPU profile from a running server",
+        url,
+        profiled,
+    ).add_argument(
+        "--seconds",
+        type=float,
+        default=2.0,
+        action=_Positive,
+        metavar="S",
+        help="capture window (default 2)",
+    )
+
+    monitor = verb(
+        verbs,
+        "monitor",
+        _monitor,
+        "stream a suite's data through a model and watch drift",
+        scaled,
+        cached,
+        stream,
+        audit,
+    )
+    _add_suite(
+        monitor,
+        "suite",
+        _TRAINABLE,
+        help="the model's suite; with --model, the traffic's",
+    )
+    _add_suite(
+        monitor,
+        "traffic_suite",
+        _TRAINABLE,
+        nargs="?",
+        help="the traffic's suite (default: the model's)",
+    )
+    monitor.add_argument(
+        "--registry", metavar="DIR", help="the registry --model names"
+    )
+    monitor.add_argument(
+        "--model",
+        metavar="REF",
+        help="watch this registry model; the suite names the traffic",
+    )
+    pipeline_run = verb(
+        nested("pipeline", "the MLOps loop, replayed offline"),
+        "run",
+        _pipeline_run,
+        "replay detect -> retrain -> shadow -> promote",
+        scaled,
+        cached,
+        stream,
+    )
+    _add_suite(
+        pipeline_run,
+        "train_suite",
+        _TRAINABLE,
+        help="the suite the first champion trains on",
+    )
+    _add_suite(
+        pipeline_run,
+        "traffic_suite",
+        _TRAINABLE,
+        help="the suite replayed as traffic",
+    )
+    pipeline_run.add_argument(
+        "--registry",
+        metavar="DIR",
+        help="registry to retrain and promote in (default: a temporary one)",
+    )
+    pipeline_run.add_argument(
+        "--max-records",
+        type=int,
+        default=8192,
+        action=_Positive,
+        metavar="N",
+        help="stop the replay after N traffic records (default 8192)",
+    )
+    verb(verbs, "promotions", _promotions, "the promotion trail", registry)
+    rollback = verb(
+        verbs, "rollback", _rollback, "undo the last promotion", registry
+    )
+    rollback.add_argument(
+        "--to",
+        metavar="MODEL_ID",
+        help="model to restore (default: the trail's prior model)",
+    )
+    rollback.add_argument(
+        "--why", metavar="TEXT", help="reason recorded on the trail"
+    )
+    verb(
+        nested("registry", "registry maintenance"),
+        "gc",
+        _registry_gc,
+        "remove artifacts unreachable from aliases and the trail",
+        registry,
+    ).add_argument(
+        "--dry-run",
+        action="store_true",
+        help="report what would be removed without deleting",
+    )
+    perf = nested("perf", "the performance ledger")
+    verb(
+        perf,
+        "record",
+        _perf_record,
+        "append ledger entries from the BENCH_*.json snapshots",
+        ledger,
+    )
+    verb(
+        perf, "log", _perf_log, "the benchmark time series", ledger
+    ).add_argument(
+        "--last",
+        type=int,
+        default=10,
+        action=_Positive,
+        metavar="N",
+        help="ledger entries to show (default 10)",
+    )
+    verb(
+        perf, "check", _perf_check, "exit 1 on a perf regression", ledger
+    ).add_argument(
+        "--self-test",
+        action="store_true",
+        help="check that the gate flags an injected regression",
+    )
+
+    experiments = argparse.ArgumentParser(
+        prog="repro",
+        parents=[scaled, cached, profiled],
+        description=(
+            "Reproduce the tables and figures of 'Characterization of\n"
+            "SPEC CPU2006 and SPEC OMP2001' (ISPASS 2008)."
+        ),
+        epilog=root.format_help(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    experiments.add_argument(
+        "experiments",
+        nargs="+",
+        metavar="EXPERIMENT",
+        help="experiment ids (E1..E20), 'all', 'list' or 'report'",
+    )
+    experiments.add_argument(
         "--output",
         default="repro_report.md",
         help="output path for 'report' (default repro_report.md)",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache generated suite data in this directory",
-    )
-    parser.add_argument(
+    experiments.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        action=_Positive,
         metavar="N",
         help=(
             "run experiments across N worker processes; stdout is "
@@ -118,601 +564,141 @@ def _build_parser() -> argparse.ArgumentParser:
             "go to stderr"
         ),
     )
-    parser.add_argument(
+    experiments.add_argument(
         "--trace",
-        default=None,
         metavar="PATH",
         help=(
-            "enable hierarchical tracing and write spans, metrics and "
-            "the run manifest to PATH as JSONL (stdout is unchanged; "
-            "inspect with 'repro trace-summary PATH')"
+            "write spans, metrics and the run manifest to PATH as JSONL "
+            "(inspect with 'repro trace-summary PATH')"
         ),
     )
-    parser.add_argument(
+    experiments.add_argument(
         "--metrics",
         action="store_true",
         help="print the process metrics registry to stderr after the run",
     )
-    profiling = parser.add_argument_group(
-        "profiling & perf ledger ('profile', 'profile-summary', 'perf', "
-        "and --profile on runs)"
-    )
-    profiling.add_argument(
-        "--profile",
-        default=None,
-        metavar="PATH",
-        dest="profile",
-        help=(
-            "sample the run's CPU at --profile-hz and write the profile "
-            "to PATH as JSON (mirrors --trace; works on experiment runs "
-            "and 'serve'; inspect with 'repro profile-summary PATH')"
-        ),
-    )
-    profiling.add_argument(
-        "--profile-hz",
-        type=int,
-        default=99,
-        metavar="HZ",
-        help="sampling rate for --profile and 'profile' (default 99)",
-    )
-    profiling.add_argument(
-        "--seconds",
-        type=float,
-        default=2.0,
-        metavar="S",
-        help="profile: remote capture window in seconds (default 2)",
-    )
-    profiling.add_argument(
-        "--ledger",
-        default=None,
-        metavar="PATH",
-        help="perf: ledger file (default benchmarks/LEDGER.jsonl)",
-    )
-    profiling.add_argument(
-        "--last",
-        type=int,
-        default=10,
-        metavar="N",
-        help="perf log: ledger entries to show (default 10)",
-    )
-    serving = parser.add_argument_group("serving ('publish' and 'serve')")
-    serving.add_argument(
-        "--registry",
-        default=None,
-        metavar="DIR",
-        help="model registry directory (required for publish/serve)",
-    )
-    serving.add_argument(
-        "--alias",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="alias(es) to point at a published model (default: latest)",
-    )
-    serving.add_argument(
-        "--host", default="127.0.0.1", help="serve: bind address"
-    )
-    serving.add_argument(
-        "--port",
-        type=int,
-        default=8080,
-        help="serve: TCP port (0 picks an ephemeral port)",
-    )
-    serving.add_argument(
-        "--max-batch",
-        type=int,
-        default=256,
-        metavar="N",
-        help="serve: max rows coalesced into one prediction batch",
-    )
-    serving.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help="serve: max time the head request waits for a batch to fill",
-    )
-    serving.add_argument(
-        "--self-test",
-        action="store_true",
-        help=(
-            "serve: boot on an ephemeral port, round-trip one predict "
-            "request, verify bit-identical results, exit (with "
-            "--workers N, also self-test through an N-replica cluster)"
-        ),
-    )
-    serving.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "serve: fork N replica processes sharing the host:port "
-            "(SO_REUSEPORT where available); replica 0 leads the "
-            "pipeline (default 1 = single process)"
-        ),
-    )
-    serving.add_argument(
-        "--admin-port",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "serve --workers: also serve aggregated cluster /metrics "
-            "and /v1/status from the supervisor on this port "
-            "(0 picks an ephemeral port)"
-        ),
-    )
-    serving.add_argument(
-        "--events",
-        default=None,
-        metavar="PATH",
-        help=(
-            "serve: append per-request telemetry (stage timelines, "
-            "X-Repro-Trace ids) to PATH as rotating JSONL"
-        ),
-    )
-    serving.add_argument(
-        "--url",
-        default="http://127.0.0.1:8080",
-        metavar="URL",
-        help="status: base URL of a running server (default %(default)s)",
-    )
-    serving.add_argument(
-        "--watch",
-        action="store_true",
-        help="status: refresh the view continuously until Ctrl-C",
-    )
-    serving.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="S",
-        help="status: seconds between --watch refreshes (default 2)",
-    )
-    loadbench = parser.add_argument_group("load harness ('loadbench')")
-    loadbench.add_argument(
-        "--mode",
-        choices=("closed", "open"),
-        default="closed",
-        help=(
-            "loadbench: closed loop (K connections + think time, "
-            "measures capacity) or open loop (Poisson arrivals at "
-            "--rate, measures latency at an offered rate; default "
-            "closed)"
-        ),
-    )
-    loadbench.add_argument(
-        "--duration",
-        type=float,
-        default=10.0,
-        metavar="S",
-        help="loadbench: seconds of load per run (default 10)",
-    )
-    loadbench.add_argument(
-        "--connections",
-        type=int,
-        default=4,
-        metavar="K",
-        help=(
-            "loadbench: concurrent connections (closed) or sender "
-            "pool size (open; default 4)"
-        ),
-    )
-    loadbench.add_argument(
-        "--rate",
-        type=float,
-        default=100.0,
-        metavar="R",
-        help="loadbench --mode open: offered arrival rate, req/s",
-    )
-    loadbench.add_argument(
-        "--think-ms",
-        type=float,
-        default=0.0,
-        metavar="MS",
-        help="loadbench --mode closed: think time between requests",
-    )
-    loadbench.add_argument(
-        "--batch-rows",
-        type=int,
-        default=64,
-        metavar="N",
-        help="loadbench: rows per predict request (default 64)",
-    )
-    drift = parser.add_argument_group("drift monitoring ('monitor', 'serve')")
-    drift.add_argument(
-        "--window",
-        type=int,
-        default=256,
-        metavar="N",
-        help="drift window size in records (default 256)",
-    )
-    drift.add_argument(
-        "--stream-batch",
-        type=int,
-        default=64,
-        metavar="N",
-        help="monitor: records per replayed traffic batch (default 64)",
-    )
-    drift.add_argument(
-        "--model",
-        default=None,
-        metavar="REF",
-        help=(
-            "monitor: watch this registry model (with --registry) instead "
-            "of training one from the suite"
-        ),
-    )
-    drift.add_argument(
-        "--audit",
-        default=None,
-        metavar="PATH",
-        help="append every drift evaluation to PATH as JSONL",
-    )
-    drift.add_argument(
-        "--no-monitor",
-        action="store_true",
-        help="serve: disable online drift monitoring",
-    )
-    drift.add_argument(
-        "--shadow",
-        default=None,
-        metavar="REF",
-        help=(
-            "serve: evaluate this challenger model on the champion's "
-            "live traffic"
-        ),
-    )
-    drift.add_argument(
-        "--shadow-champion",
-        default="latest",
-        metavar="REF",
-        help="serve: the champion the challenger shadows (default: latest)",
-    )
-    pipeline = parser.add_argument_group(
-        "MLOps pipeline ('pipeline run', 'rollback', 'promotions', "
-        "'registry gc', 'serve')"
-    )
-    pipeline.add_argument(
-        "--pipeline",
-        action="store_true",
-        help=(
-            "serve: arm the retrain/shadow/promote loop on the drift "
-            "monitor (requires monitoring)"
-        ),
-    )
-    pipeline.add_argument(
-        "--max-records",
-        type=int,
-        default=8192,
-        metavar="N",
-        help=(
-            "pipeline run: stop the replay after N traffic records "
-            "(default 8192)"
-        ),
-    )
-    pipeline.add_argument(
-        "--to",
-        default=None,
-        metavar="MODEL_ID",
-        help=(
-            "rollback: restore this model id instead of the promotion "
-            "trail's prior model"
-        ),
-    )
-    pipeline.add_argument(
-        "--why",
-        default=None,
-        metavar="TEXT",
-        help="rollback: reason recorded on the promotion trail",
-    )
-    pipeline.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="registry gc: report what would be removed without deleting",
-    )
-    return parser
+    experiments.set_defaults(run=_run_experiments)
+    return experiments, verbs.choices
 
 
-_SUITES = {"cpu2006": "cpu2006", "omp2001": "omp2001", "cpu2000": "cpu2000"}
+def _parse(words: List[str]) -> argparse.Namespace:
+    """Parse with the verb's own parser, or as experiment ids."""
+    experiments, verbs = _build_parsers()
+    if words and words[0].lower() in verbs:
+        return verbs[words[0].lower()].parse_args(words[1:])
+    return experiments.parse_args(words)
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """The battery configuration implied by --seed/--scale."""
-    config = ExperimentConfig()
-    if args.seed is not None:
-        config = ExperimentConfig(
-            cpu_samples=config.cpu_samples,
-            omp_samples=config.omp_samples,
-            seed=args.seed,
-        )
-    if args.scale != 1.0:
-        config = config.scaled(args.scale)
-    return config
+    """The battery configuration implied by --scale/--seed."""
+    if args.seed is None:
+        return ExperimentConfig().scaled(args.scale)
+    return ExperimentConfig(seed=args.seed).scaled(args.scale)
 
 
 def _suite_by_name(name: str):
-    from repro.workloads import spec_cpu2000, spec_cpu2006, spec_omp2001
+    import repro.workloads
 
-    factories = {
-        "cpu2006": spec_cpu2006,
-        "omp2001": spec_omp2001,
-        "cpu2000": spec_cpu2000,
-    }
-    key = name.lower()
-    if key not in factories:
-        raise KeyError(f"unknown suite {name!r}; have {sorted(factories)}")
-    return factories[key]()
+    return getattr(repro.workloads, f"spec_{name}")()
 
 
-def _run_subcommand(args) -> Optional[int]:
-    """Handle 'catalog', 'dot' and 'export'; None means not handled."""
-    words = [w for w in args.experiments]
-    command = words[0].lower()
-    if command == "catalog":
-        if len(words) != 2:
-            print("usage: repro catalog <cpu2006|omp2001|cpu2000>",
-                  file=sys.stderr)
-            return 2
-        from repro.workloads.catalog import format_suite_catalog
+def _generate(args):
+    """The named suite's intervals at the --scale/--seed sample count."""
+    from repro.workloads.suite import SuiteGenerationConfig
 
-        try:
-            print(format_suite_catalog(_suite_by_name(words[1])))
-        except KeyError as error:
-            print(error, file=sys.stderr)
-            return 2
-        return 0
-    if command == "dot":
-        if len(words) != 2 or words[1].lower() not in ("cpu2006", "omp2001"):
-            print("usage: repro dot <cpu2006|omp2001>", file=sys.stderr)
-            return 2
-        from repro.experiments.context import ExperimentContext
-        from repro.mtree.render import render_dot
-
-        ctx = ExperimentContext(ExperimentConfig().scaled(args.scale))
-        which = words[1].lower()
-        print(render_dot(ctx.tree(which), title=ctx.suite_label(which)))
-        return 0
-    if command == "rules":
-        if len(words) != 2 or words[1].lower() not in ("cpu2006", "omp2001"):
-            print("usage: repro rules <cpu2006|omp2001>", file=sys.stderr)
-            return 2
-        from repro.experiments.context import ExperimentContext
-        from repro.mtree.rules import render_rules
-
-        ctx = ExperimentContext(ExperimentConfig().scaled(args.scale))
-        print(render_rules(ctx.tree(words[1].lower())))
-        return 0
-    if command == "quality":
-        if len(words) != 2:
-            print("usage: repro quality <cpu2006|omp2001|cpu2000>",
-                  file=sys.stderr)
-            return 2
-        from repro.pmu.collector import PmuCollector
-        from repro.pmu.diagnostics import (
-            data_quality_report,
-            format_quality_table,
+    config = _config_from_args(args)
+    return _suite_by_name(args.suite).generate(
+        SuiteGenerationConfig(
+            total_samples=config.cpu_samples, seed=config.seed
         )
-        from repro.workloads.suite import SuiteGenerationConfig
+    )
 
-        config = ExperimentConfig().scaled(args.scale)
-        try:
-            suite = _suite_by_name(words[1])
-        except KeyError as error:
-            print(error, file=sys.stderr)
-            return 2
-        data = suite.generate(
-            SuiteGenerationConfig(
-                total_samples=config.cpu_samples, seed=config.seed
-            )
-        )
-        print(format_quality_table(data_quality_report(data, PmuCollector())))
-        return 0
-    if command == "describe":
-        if len(words) != 2:
-            print("usage: repro describe <benchmark>", file=sys.stderr)
-            return 2
-        return _describe_benchmark(words[1], args)
-    if command == "publish":
-        if len(words) != 2 or words[1].lower() not in ("cpu2006", "omp2001"):
-            print(
-                "usage: repro publish <cpu2006|omp2001> --registry DIR",
-                file=sys.stderr,
-            )
-            return 2
-        if args.registry is None:
-            print("publish: --registry DIR is required", file=sys.stderr)
-            return 2
-        from repro.serve.publish import publish_from_config
-        from repro.serve.registry import ModelRegistry
 
-        registry = ModelRegistry(args.registry)
-        record = publish_from_config(
-            registry,
-            words[1].lower(),
-            config=_config_from_args(args),
-            cache_dir=args.cache_dir,
-            aliases=tuple(args.alias) if args.alias else ("latest",),
-            argv=["repro", *words],
-        )
-        aliases = ", ".join(args.alias) if args.alias else "latest"
-        print(
-            f"published {record.model_id} ({record.n_leaves} leaves, "
-            f"{record.n_features} features, suite "
-            f"{record.metadata.get('suite')}) -> {aliases}"
-        )
-        return 0
-    if command == "serve":
-        if len(words) != 1:
-            print("usage: repro serve --registry DIR [--port N]",
-                  file=sys.stderr)
-            return 2
-        if args.registry is None:
-            print("serve: --registry DIR is required", file=sys.stderr)
-            return 2
-        return _serve(args)
-    if command == "status":
-        if len(words) != 1:
-            print(
-                "usage: repro status [--url URL] [--watch] [--interval S]",
-                file=sys.stderr,
-            )
-            return 2
-        return _status(args)
-    if command == "loadbench":
-        if len(words) != 1:
-            print(
-                "usage: repro loadbench [--url URL] [--mode closed|open] "
-                "[--duration S] [--connections K] [--rate R] "
-                "[--think-ms MS] [--batch-rows N] [--model REF]",
-                file=sys.stderr,
-            )
-            return 2
-        return _loadbench(args)
-    if command == "monitor":
-        suites = ("cpu2006", "omp2001", "cpu2000")
-        if len(words) not in (2, 3):
-            print(
-                "usage: repro monitor <model-suite> [<traffic-suite>]  or  "
-                "repro monitor <traffic-suite> --registry DIR --model REF",
-                file=sys.stderr,
-            )
-            return 2
-        unknown = [w for w in words[1:] if w.lower() not in suites]
-        if unknown:
-            print(
-                f"monitor: unknown suite {unknown[0]!r}; have {list(suites)}",
-                file=sys.stderr,
-            )
-            return 2
-        if args.model is not None and args.registry is None:
-            print("monitor: --model requires --registry DIR", file=sys.stderr)
-            return 2
-        if args.model is not None and len(words) != 2:
-            print(
-                "monitor: with --model, give exactly one traffic suite",
-                file=sys.stderr,
-            )
-            return 2
-        return _monitor(args, [w.lower() for w in words[1:]])
-    if command == "pipeline":
-        suites = ("cpu2006", "omp2001", "cpu2000")
-        if (
-            len(words) != 4
-            or words[1].lower() != "run"
-            or words[2].lower() not in suites
-            or words[3].lower() not in suites
-        ):
-            print(
-                "usage: repro pipeline run <train-suite> <traffic-suite> "
-                "[--registry DIR] [--window N] [--max-records N]",
-                file=sys.stderr,
-            )
-            return 2
-        return _pipeline_run(args, words[2].lower(), words[3].lower())
-    if command == "promotions":
-        if len(words) != 1 or args.registry is None:
-            print(
-                "usage: repro promotions --registry DIR", file=sys.stderr
-            )
-            return 2
-        return _promotions(args)
-    if command == "rollback":
-        if len(words) != 1 or args.registry is None:
-            print(
-                "usage: repro rollback --registry DIR [--to MODEL_ID] "
-                "[--why TEXT]",
-                file=sys.stderr,
-            )
-            return 2
-        return _rollback(args)
-    if command == "registry":
-        if len(words) != 2 or words[1].lower() != "gc":
-            print(
-                "usage: repro registry gc --registry DIR [--dry-run]",
-                file=sys.stderr,
-            )
-            return 2
-        if args.registry is None:
-            print("registry gc: --registry DIR is required", file=sys.stderr)
-            return 2
-        return _registry_gc(args)
-    if command == "profile":
-        if len(words) != 1:
-            print(
-                "usage: repro profile [--url URL] [--seconds S] "
-                "[--profile-hz HZ] [--profile PATH]",
-                file=sys.stderr,
-            )
-            return 2
-        return _profile_client(args)
-    if command == "profile-summary":
-        if len(words) != 2:
-            print(
-                "usage: repro profile-summary <prof.json>", file=sys.stderr
-            )
-            return 2
-        from repro.obs.prof import load_profile, render_profile_table
+def _catalog(args) -> int:
+    from repro.workloads.catalog import format_suite_catalog
 
-        try:
-            print(render_profile_table(load_profile(words[1])))
-        except (OSError, ValueError, KeyError) as error:
-            print(f"profile-summary: {error}", file=sys.stderr)
-            return 2
-        return 0
-    if command == "perf":
-        if len(words) != 2 or words[1].lower() not in (
-            "record",
-            "log",
-            "check",
-        ):
-            print(
-                "usage: repro perf record|log|check [--ledger PATH] "
-                "[--last N] [--self-test]",
-                file=sys.stderr,
-            )
-            return 2
-        return _perf(args, words[1].lower())
-    if command == "trace-summary":
-        if len(words) != 2:
-            print("usage: repro trace-summary <trace.jsonl>", file=sys.stderr)
-            return 2
-        from repro.obs.summary import render_trace_summary
+    print(format_suite_catalog(_suite_by_name(args.suite)))
+    return 0
 
-        try:
-            print(render_trace_summary(words[1]))
-        except (OSError, ValueError) as error:
-            print(f"trace-summary: {error}", file=sys.stderr)
-            return 2
-        return 0
-    if command == "export":
-        if len(words) != 3:
-            print("usage: repro export <suite> <path.csv|path.arff>",
-                  file=sys.stderr)
-            return 2
-        from repro.datasets import save_arff, save_csv
-        from repro.workloads.suite import SuiteGenerationConfig
 
-        config = ExperimentConfig().scaled(args.scale)
-        try:
-            suite = _suite_by_name(words[1])
-        except KeyError as error:
-            print(error, file=sys.stderr)
-            return 2
-        data = suite.generate(
-            SuiteGenerationConfig(
-                total_samples=config.cpu_samples, seed=config.seed
-            )
-        )
-        path = words[2]
-        if path.endswith(".arff"):
-            save_arff(data, path)
-        else:
-            save_csv(data, path)
-        print(f"wrote {len(data)} intervals to {path}")
-        return 0
-    return None
+def _dot(args) -> int:
+    from repro.mtree.render import render_dot
+
+    ctx = ExperimentContext(_config_from_args(args))
+    print(render_dot(ctx.tree(args.suite), title=ctx.suite_label(args.suite)))
+    return 0
+
+
+def _rules(args) -> int:
+    from repro.mtree.rules import render_rules
+
+    ctx = ExperimentContext(_config_from_args(args))
+    print(render_rules(ctx.tree(args.suite)))
+    return 0
+
+
+def _quality(args) -> int:
+    from repro.pmu.collector import PmuCollector
+    from repro.pmu.diagnostics import data_quality_report, format_quality_table
+
+    report = data_quality_report(_generate(args), PmuCollector())
+    print(format_quality_table(report))
+    return 0
+
+
+def _export(args) -> int:
+    from repro.datasets import save_arff, save_csv
+
+    data = _generate(args)
+    if args.path.endswith(".arff"):
+        save_arff(data, args.path)
+    else:
+        save_csv(data, args.path)
+    print(f"wrote {len(data)} intervals to {args.path}")
+    return 0
+
+
+def _trace_summary(args) -> int:
+    from repro.obs.summary import render_trace_summary
+
+    try:
+        print(render_trace_summary(args.trace))
+    except (OSError, ValueError) as error:
+        print(f"trace-summary: {error}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _profile_summary(args) -> int:
+    from repro.obs.prof import load_profile, render_profile_table
+
+    try:
+        print(render_profile_table(load_profile(args.profile)))
+    except (OSError, ValueError, KeyError) as error:
+        print(f"profile-summary: {error}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _publish(args) -> int:
+    from repro.serve.publish import publish_from_config
+    from repro.serve.registry import ModelRegistry
+
+    record = publish_from_config(
+        ModelRegistry(args.registry),
+        args.suite,
+        config=_config_from_args(args),
+        cache_dir=args.cache_dir,
+        aliases=tuple(args.alias) if args.alias else ("latest",),
+        argv=["repro", "publish", args.suite],
+    )
+    aliases = ", ".join(args.alias) if args.alias else "latest"
+    print(
+        f"published {record.model_id} ({record.n_leaves} leaves, "
+        f"{record.n_features} features, suite "
+        f"{record.metadata.get('suite')}) -> {aliases}"
+    )
+    return 0
 
 
 def _profile_client(args) -> int:
@@ -729,12 +715,6 @@ def _profile_client(args) -> int:
 
     from repro.obs.prof import Profile, render_profile_table
 
-    if args.seconds <= 0:
-        print(
-            f"profile: --seconds must be positive, got {args.seconds}",
-            file=sys.stderr,
-        )
-        return 2
     url = (
         args.url.rstrip("/")
         + f"/v1/profile/cpu?seconds={args.seconds:g}&hz={args.profile_hz}"
@@ -757,70 +737,69 @@ def _profile_client(args) -> int:
     return 0
 
 
-def _perf(args, verb: str) -> int:
-    """The performance-ledger verbs: record, log, check."""
-    import json as _json
+def _ledger_path(args):
     from pathlib import Path
+
+    from repro.obs.ledger import DEFAULT_LEDGER_PATH
+
+    if args.ledger is None:
+        return DEFAULT_LEDGER_PATH
+    return Path(args.ledger)
+
+
+def _perf_record(args) -> int:
+    """Append ledger entries derived from the BENCH_*.json snapshots."""
+    import json as _json
 
     from repro.obs.ledger import (
         BENCH_SNAPSHOTS,
         DEFAULT_LEDGER_PATH,
         PerfLedger,
-        check_ledger,
         headline_metrics,
-        render_findings,
-        render_ledger_log,
     )
 
-    ledger_path = (
-        Path(args.ledger) if args.ledger is not None else DEFAULT_LEDGER_PATH
-    )
-    if verb == "record":
-        ledger = PerfLedger(ledger_path)
-        # Snapshots live next to the committed ledger regardless of
-        # where --ledger points: record derives entries from what the
-        # benchmark harness actually wrote.
-        snapshot_dir = DEFAULT_LEDGER_PATH.parent
-        recorded = 0
-        for bench, filename in BENCH_SNAPSHOTS.items():
-            path = snapshot_dir / filename
-            if not path.exists():
-                continue
-            try:
-                metrics = headline_metrics(
-                    bench, _json.loads(path.read_text())
-                )
-            except (ValueError, OSError) as error:
-                print(f"perf record: {filename}: {error}", file=sys.stderr)
-                continue
-            if not metrics:
-                continue
-            ledger.append(bench, metrics, meta={"source": filename})
-            print(
-                f"recorded {bench}: {len(metrics)} metric(s) "
-                f"from {filename}"
-            )
-            recorded += 1
-        if not recorded:
-            print(
-                f"perf record: no BENCH_*.json snapshots in {snapshot_dir}",
-                file=sys.stderr,
-            )
-            return 2
-        return 0
-    if verb == "log":
-        if args.last < 1:
-            print(
-                f"perf log: --last must be >= 1, got {args.last}",
-                file=sys.stderr,
-            )
-            return 2
-        print(render_ledger_log(PerfLedger(ledger_path), last=args.last))
-        return 0
-    # verb == "check"
+    ledger = PerfLedger(_ledger_path(args))
+    # Snapshots live next to the committed ledger regardless of
+    # where --ledger points: record derives entries from what the
+    # benchmark harness actually wrote.
+    snapshot_dir = DEFAULT_LEDGER_PATH.parent
+    recorded = 0
+    for bench, filename in BENCH_SNAPSHOTS.items():
+        path = snapshot_dir / filename
+        if not path.exists():
+            continue
+        try:
+            metrics = headline_metrics(bench, _json.loads(path.read_text()))
+        except (ValueError, OSError) as error:
+            print(f"perf record: {filename}: {error}", file=sys.stderr)
+            continue
+        if not metrics:
+            continue
+        ledger.append(bench, metrics, meta={"source": filename})
+        print(f"recorded {bench}: {len(metrics)} metric(s) from {filename}")
+        recorded += 1
+    if not recorded:
+        print(
+            f"perf record: no BENCH_*.json snapshots in {snapshot_dir}",
+            file=sys.stderr,
+        )
+        return 2
+    return 0
+
+
+def _perf_log(args) -> int:
+    from repro.obs.ledger import PerfLedger, render_ledger_log
+
+    print(render_ledger_log(PerfLedger(_ledger_path(args)), last=args.last))
+    return 0
+
+
+def _perf_check(args) -> int:
+    from repro.obs.ledger import check_ledger, render_findings
+
     if args.self_test:
-        return _perf_self_test(ledger_path)
-    findings = check_ledger(ledger_path)
+        return _perf_self_test(_ledger_path(args))
+    findings = check_ledger(_ledger_path(args))
     print(render_findings(findings))
     return 1 if any(f.status == "regression" for f in findings) else 0
 
@@ -890,7 +869,7 @@ def _perf_self_test(committed_path) -> int:
     return 1 if failures else 0
 
 
-def _monitor(args, suites: List[str]) -> int:
+def _monitor(args) -> int:
     """Replay a suite's data as a traffic stream and print the verdict
     timeline — the live version of E7/E8's offline transferability
     battery.  Exits 0 while the model holds, 3 on TRANSFER_FAILED.
@@ -904,24 +883,26 @@ def _monitor(args, suites: List[str]) -> int:
     )
     from repro.stats.transfer import SampleMoments
 
+    if args.model is not None and args.registry is None:
+        print("monitor: --model requires --registry DIR", file=sys.stderr)
+        return 2
+    if args.model is not None and args.traffic_suite is not None:
+        print(
+            "monitor: with --model, give exactly one traffic suite",
+            file=sys.stderr,
+        )
+        return 2
     try:
         monitor_config = DriftMonitorConfig(window=args.window)
     except ValueError as error:
         print(f"monitor: {error}", file=sys.stderr)
         return 2
-    if args.stream_batch < 1:
-        print(
-            f"monitor: --stream-batch must be >= 1, got {args.stream_batch}",
-            file=sys.stderr,
-        )
-        return 2
 
-    config = _config_from_args(args)
-    ctx = ExperimentContext(config, cache_dir=args.cache_dir)
+    ctx = ExperimentContext(_config_from_args(args), cache_dir=args.cache_dir)
     if args.model is not None:
         from repro.serve.registry import ModelRegistry, RegistryError
 
-        traffic_suite = suites[0]
+        traffic_suite = args.suite
         try:
             record, tree = ModelRegistry(args.registry).load(args.model)
         except (RegistryError, KeyError) as error:
@@ -931,8 +912,8 @@ def _monitor(args, suites: List[str]) -> int:
         model_desc = f"registry model {record.model_id}"
         traffic = ctx.test_set(traffic_suite)
     else:
-        model_suite = suites[0]
-        traffic_suite = suites[-1]
+        model_suite = args.suite
+        traffic_suite = args.traffic_suite or model_suite
         tree = ctx.tree(model_suite)
         train = ctx.train_set(model_suite)
         profile = ModelProfile.from_tree(
@@ -987,7 +968,7 @@ def _monitor(args, suites: List[str]) -> int:
     return 3 if final_event.verdict is DriftVerdict.TRANSFER_FAILED else 0
 
 
-def _pipeline_run(args, train_suite: str, traffic_suite: str) -> int:
+def _pipeline_run(args) -> int:
     """Replay the full detect -> retrain -> shadow -> promote loop.
 
     Exits 0 when the loop completed a promotion (the candidate took
@@ -1003,18 +984,14 @@ def _pipeline_run(args, train_suite: str, traffic_suite: str) -> int:
         print(f"pipeline: --window must be >= 2, got {args.window}",
               file=sys.stderr)
         return 2
-    if args.stream_batch < 1 or args.max_records < 1:
-        print("pipeline: --stream-batch and --max-records must be >= 1",
-              file=sys.stderr)
-        return 2
     with tempfile.TemporaryDirectory() as scratch:
         registry = ModelRegistry(
             args.registry if args.registry is not None else scratch
         )
         result = run_pipeline_replay(
             registry,
-            train_suite,
-            traffic_suite,
+            args.train_suite,
+            args.traffic_suite,
             config=_config_from_args(args),
             cache_dir=args.cache_dir,
             window=args.window,
@@ -1122,12 +1099,6 @@ def _status(args) -> int:
     from repro.serve.status import render_status_text
 
     url = args.url.rstrip("/") + "/v1/status"
-    if args.interval <= 0:
-        print(
-            f"status: --interval must be positive, got {args.interval}",
-            file=sys.stderr,
-        )
-        return 2
 
     def fetch():
         with urllib.request.urlopen(url, timeout=5.0) as response:
@@ -1225,7 +1196,6 @@ def _loadbench(args) -> int:
 def _serve_cluster(args, batch) -> int:
     """Run an N-replica cluster until SIGTERM/SIGINT, then drain."""
     import signal
-    import threading
 
     from repro.cluster import ClusterConfig, ClusterSupervisor
 
@@ -1296,10 +1266,6 @@ def _serve(args) -> int:
         )
     except ValueError as error:
         print(f"serve: {error}", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print(f"serve: --workers must be >= 1, got {args.workers}",
-              file=sys.stderr)
         return 2
 
     if args.self_test:
@@ -1397,14 +1363,14 @@ def _serve(args) -> int:
     return 0
 
 
-def _describe_benchmark(name: str, args) -> int:
+def _describe(args) -> int:
     """Full per-benchmark page: metadata, profile, equations, neighbors."""
     from repro.characterization.profile import profile_sample_set
     from repro.characterization.similarity import similarity_matrix
-    from repro.experiments.context import ExperimentContext
     from repro.workloads.catalog import format_benchmark_detail
 
-    ctx = ExperimentContext(ExperimentConfig().scaled(args.scale))
+    name = args.benchmark
+    ctx = ExperimentContext(_config_from_args(args))
     for which in ("cpu2006", "omp2001"):
         suite = ctx.suite(which)
         try:
@@ -1440,13 +1406,8 @@ def _describe_benchmark(name: str, args) -> int:
     return 2
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-
-    handled = _run_subcommand(args)
-    if handled is not None:
-        return handled
-
+def _run_experiments(args) -> int:
+    """Run the requested experiments (and 'list', 'all', 'report')."""
     requested = [e.upper() for e in args.experiments]
 
     if "LIST" in requested:
@@ -1470,9 +1431,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     config = _config_from_args(args)
-    if args.jobs is not None and args.jobs < 1:
-        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
 
     tracer = None
     if args.trace is not None:
@@ -1545,7 +1503,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         manifest = build_manifest(
             config,
             experiments=requested,
-            argv=["repro", *(argv if argv is not None else sys.argv[1:])],
+            argv=args.argv,
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             extra={"scale": args.scale, "trace_path": args.trace},
@@ -1566,6 +1524,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    words = list(sys.argv[1:] if argv is None else argv)
+    try:
+        args = _parse(words)
+    except SystemExit as stop:  # argparse: 2 on a usage error, 0 on -h
+        return stop.code
+    args.argv = ["repro", *words]  # recorded in a trace's run manifest
+    return args.run(args)
 
 
 if __name__ == "__main__":

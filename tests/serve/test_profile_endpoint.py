@@ -3,6 +3,7 @@
 import json
 import re
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -115,18 +116,25 @@ class TestConcurrentCaptures:
         def long_capture():
             results["first"] = get(server, "/v1/profile/cpu?seconds=1.2")[0]
 
+        def capture_running():
+            document = json.loads(get(server, "/v1/status")[1])
+            return document["profiler"]["busy"]
+
         thread = threading.Thread(target=long_capture)
         thread.start()
         try:
-            # Wait until the first capture holds the gate.
-            deadline = threading.Event()
+            # Probe only once the first capture holds the gate: a probe
+            # sent earlier could take the gate itself and read 200.
+            deadline = time.monotonic() + 10.0
+            while not capture_running() and time.monotonic() < deadline:
+                time.sleep(0.01)
             codes = []
             for _ in range(50):
                 code = get(server, "/v1/profile/cpu?seconds=0.1")[0]
                 codes.append(code)
                 if code == 409:
                     break
-                deadline.wait(0.02)
+                time.sleep(0.02)
         finally:
             thread.join()
         assert 409 in codes, f"never saw profile_in_progress: {codes}"

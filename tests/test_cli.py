@@ -508,9 +508,7 @@ class TestLoadbenchCommand:
         assert "usage: repro loadbench" in capsys.readouterr().err
 
     def test_bad_mode_is_rejected_by_argparse(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["loadbench", "--mode", "bursty"])
-        assert excinfo.value.code == 2
+        assert main(["loadbench", "--mode", "bursty"]) == 2
         assert "invalid choice" in capsys.readouterr().err
 
     def test_unreachable_server_fails_fast(self, capsys):
@@ -581,3 +579,182 @@ class TestPublicApi:
 
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+
+class TestPerVerbParsers:
+    """Each verb parses only its own flags; argparse owns usage."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["monitor", "cpu2000"],
+            ["monitor", "cpu2006", "cpu2000"],
+            ["pipeline", "run", "cpu2000", "cpu2006"],
+            ["publish", "cpu2000", "--registry", "R"],
+            ["dot", "cpu2000"],
+            ["rules", "cpu2000"],
+        ],
+    )
+    def test_untrainable_suite_is_usage_error(self, capsys, argv):
+        # ExperimentContext trains only cpu2006/omp2001: cpu2000 must be
+        # refused at parse time, not die later in a traceback.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"usage: repro {argv[0]}" in err
+        assert "unknown suite 'cpu2000'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["catalog", "cpu2000", "--workers", "4"], "--workers"),
+            (["catalog", "cpu2000", "--rate", "9"], "--rate"),
+            (["catalog", "cpu2000", "--pipeline"], "--pipeline"),
+            (["list", "--registry", "X"], "--registry"),
+            (["E1", "--url", "http://127.0.0.1:1"], "--url"),
+            (["serve", "--registry", "R", "--window", "512"], "--window"),
+            (["serve", "--registry", "R", "--scale", "0.1"], "--scale"),
+            (["dot", "cpu2006", "--jobs", "2"], "--jobs"),
+            (["quality", "cpu2006", "--cache-dir", "D"], "--cache-dir"),
+            (["status", "--registry", "R"], "--registry"),
+            (["loadbench", "--scale", "2"], "--scale"),
+            (["promotions", "--registry", "R", "--dry-run"], "--dry-run"),
+            (["perf", "log", "--self-test"], "--self-test"),
+            (["perf", "record", "--last", "3"], "--last"),
+            (["monitor", "cpu2006", "--pipeline"], "--pipeline"),
+            (["pipeline", "run", "cpu2006", "omp2001", "--model", "M"],
+             "--model"),
+            (["publish", "cpu2006", "--registry", "R", "--port", "1"],
+             "--port"),
+            (["trace-summary", "t.jsonl", "--scale", "0.1"], "--scale"),
+        ],
+    )
+    def test_foreign_flag_is_usage_error(self, capsys, argv, flag):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--jobs", "0", "E1"],
+            ["serve", "--registry", "R", "--workers", "-1"],
+            ["status", "--interval", "-2"],
+            ["profile", "--seconds", "0"],
+            ["perf", "log", "--last", "0"],
+            ["monitor", "cpu2006", "--stream-batch", "0"],
+            ["pipeline", "run", "cpu2006", "omp2001", "--max-records", "0"],
+            ["E1", "--scale", "0"],
+        ],
+    )
+    def test_non_positive_counts_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_verb_help_lists_only_its_flags(self, capsys):
+        assert main(["catalog", "-h"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: repro catalog")
+        assert "--scale" not in out and "--registry" not in out
+
+    def test_root_help_lists_the_verbs(self, capsys):
+        assert main(["-h"]) == 0
+        out = capsys.readouterr().out
+        assert "EXPERIMENT" in out
+        for verb in ("catalog", "serve", "monitor", "pipeline", "perf"):
+            assert f"\n    {verb} " in out
+
+    def test_export_honours_seed(self, capsys, tmp_path):
+        def export(*flags):
+            path = tmp_path / f"data{len(list(tmp_path.iterdir()))}.csv"
+            argv = ["export", "cpu2000", str(path), "--scale", "0.1"]
+            assert main([*argv, *flags]) == 0
+            return path.read_text()
+
+        default = export()
+        # The default seed spelled out changes nothing; another seed
+        # changes the data.
+        assert export("--seed", "20080401") == default
+        assert export("--seed", "5") != default
+
+    def test_rules_honours_seed(self, capsys):
+        argv = ["rules", "omp2001", "--scale", "0.05"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--seed", "5"]) == 0
+        assert capsys.readouterr().out != default
+
+    def test_suite_names_fold_case(self, capsys):
+        assert main(["catalog", "OMP2001"]) == 0
+        assert "SPEC OMP2001" in capsys.readouterr().out
+
+
+class TestBenchmarkContract:
+    """What the benchmark harness relies on from this module."""
+
+    def test_experiments_run_through_module_level_run_experiment(
+        self, capsys, monkeypatch
+    ):
+        # The battery child wraps repro.cli.run_experiment to time each
+        # experiment, so the loop must look the name up at call time.
+        import repro.cli
+
+        calls = []
+        real = repro.cli.run_experiment
+
+        def spy(key, ctx):
+            calls.append(key)
+            return real(key, ctx)
+
+        monkeypatch.setattr(repro.cli, "run_experiment", spy)
+        assert main(["E1"]) == 0
+        assert calls == ["E1"]
+        assert "Table I" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--registry", "R", "--port", "0"],
+            ["serve", "--registry", "R", "--port", "0", "--events", "E"],
+            ["publish", "cpu2006", "--scale", "0.1", "--registry", "R"],
+            ["all"],
+        ],
+    )
+    def test_harness_command_lines_parse(self, argv):
+        from repro.cli import _parse
+
+        assert callable(_parse(argv).run)
+
+    def test_serve_announces_its_address_on_stderr(self, tmp_path):
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.serve.registry import ModelRegistry
+
+        from tests.serve.conftest import make_tree
+
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.publish(make_tree(seed=3))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--registry", str(registry.root), "--port", "0"],
+            stderr=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            text=True,
+            env=env,
+        )
+        try:
+            line = child.stderr.readline()
+            # The pattern the benchmark harness waits for.
+            assert re.search(r"on http://([0-9.]+):(\d+)", line), line
+        finally:
+            child.send_signal(signal.SIGTERM)
+            child.communicate(timeout=30)
+        assert child.returncode == 0
